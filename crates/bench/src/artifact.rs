@@ -6,7 +6,7 @@
 //! counter/gauge/histogram summary, the headline attack metrics (clean
 //! accuracy, ASR, `N_flip`, attack time), and the full flip provenance
 //! ledger. Artifacts are written to `results/runs/<timestamp>-<exp>.json`
-//! and consumed by the `rhb-report` CLI (`show`, `diff`, `bench`).
+//! and rendered by the `rhb-report` CLI (`show`, `serve`).
 //!
 //! Serialization is hand-rolled via [`crate::json`] because the vendored
 //! `serde` derives are inert.
@@ -574,8 +574,8 @@ impl RunArtifact {
                     p50: f64_field(h, "p50")?,
                     p90: f64_field(h, "p90")?,
                     // Artifacts written before the p95 column default to
-                    // 0 instead of failing to load (committed BENCH_*
-                    // baselines predate it).
+                    // 0 instead of failing to load (older artifacts
+                    // predate it).
                     p95: f64_field(h, "p95").unwrap_or(0.0),
                     p99: f64_field(h, "p99")?,
                 })
@@ -859,8 +859,8 @@ fn civil_from_days(z: i64) -> (i64, u64, u64) {
 /// are still collected through a no-op sink.
 ///
 /// Chaos-mode fault injection is armed from the `RHB_CHAOS` environment
-/// variable when set (see [`rhb_dram::ChaosConfig::parse`]), so any
-/// artifact-producing binary can reproduce a degraded run.
+/// variable when set (see [`rhb_dram::ChaosConfig::parse`]), so a caller
+/// can reproduce a degraded run without code changes.
 pub fn smoke_run(exp: &str, seed: u64) -> RunArtifact {
     smoke_run_with_chaos(exp, seed, rhb_dram::ChaosConfig::from_env())
 }

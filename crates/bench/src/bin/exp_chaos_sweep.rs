@@ -16,7 +16,7 @@
 //! rate must classify as `degraded` (never `failed`) with at least one
 //! target realized through recovery, and a zero rate must stay `full`.
 //! Violations exit 1. Artifacts land in `results/runs/` for
-//! `rhb-report diff`.
+//! `rhb-report show`.
 
 use rhb_bench::artifact::smoke_run_with_chaos;
 use rhb_dram::ChaosConfig;

@@ -1,23 +1,7 @@
-//! Flight-recorder CLI: inspect, compare, and benchmark pipeline runs.
+//! Flight-recorder CLI: inspect and replay pipeline runs.
 //!
 //! ```text
 //! rhb-report show <run.json>                 # render one artifact
-//! rhb-report diff <baseline.json> <candidate.json>
-//!                                            # exit 1 on regression
-//! rhb-report bench [--out <path>]            # smoke run → results/runs/
-//!                                            #   + BENCH_2.json
-//! rhb-report bench-compute [--out <path>]    # compute-layer timings
-//!                                            #   → BENCH_4.json
-//! rhb-report diff-compute <baseline.json> <candidate.json>
-//!                                            # exit 1 when the serial
-//!                                            # wall time regressed >10 %
-//! rhb-report bench-int8 [--out <path>]       # int8-vs-f32 engine timings
-//!                                            #   → BENCH_6.json
-//! rhb-report diff-int8 <baseline.json> <candidate.json>
-//!                                            # exit 1 when serial int8
-//!                                            # eval/GEMM regressed >10 %,
-//!                                            # whole-model speedup <1.5x,
-//!                                            # or threads made eval slower
 //! rhb-report watch <host:port> [--once] [--check] [--interval-ms N]
 //!                                            # live terminal view of a
 //!                                            # running attack's
@@ -51,28 +35,22 @@
 //!                                            # kill-resume CI gate
 //! ```
 //!
-//! `diff` thresholds: phase time +15 %, ASR −1 pt, any flip-success drop
-//! (see `rhb_bench::diff::DiffConfig`). `diff-compute` blocks only on
-//! serial wall-time regressions; parallel speedup below target is
-//! reported but non-blocking (see `rhb_bench::compute`). Timeline
-//! directories are what `RHB_OBS_RECORD=<run-id>` writes under
+//! Timeline directories are what `RHB_OBS_RECORD=<run-id>` writes under
 //! `results/timelines/`. `postmortem --require-alert` takes
 //! comma-separated substrings and exits 1 unless at least one fired
 //! alert's rule name matches one of them (the CI chaos gate). Exit
-//! codes: 0 ok, 1 regression / required alert missing, 2 usage or I/O
-//! error.
+//! codes: 0 ok, 1 check failed / required alert missing, 2 usage or I/O
+//! error. Timing and performance floors live in the repository
+//! benchmark, `perfbench/` (see `perfbench/README.md`).
 
-use rhb_bench::artifact::{smoke_run, RunArtifact};
-use rhb_bench::compute;
-use rhb_bench::diff::{diff, DiffConfig};
-use rhb_bench::int8bench;
+use rhb_bench::artifact::RunArtifact;
 use rhb_bench::json;
 use rhb_bench::timeline::{sparkline, Timeline};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE: &str = "usage: rhb-report <show <run.json> | diff <baseline.json> <candidate.json> | bench [--out <path>] | bench-compute [--out <path>] | diff-compute <baseline.json> <candidate.json> | bench-int8 [--out <path>] | diff-int8 <baseline.json> <candidate.json> | watch <host:port> [--once] [--check] [--interval-ms N] | timeline <timeline-dir> | postmortem <timeline-dir> [--last N] [--require-alert substr[,substr...]] | serve <run.json> [--check] | campaign <campaign-dir> [--require-complete] [--require-retried] [--forbid-duplicates]>";
+const USAGE: &str = "usage: rhb-report <show <run.json> | watch <host:port> [--once] [--check] [--interval-ms N] | timeline <timeline-dir> | postmortem <timeline-dir> [--last N] [--require-alert substr[,substr...]] | serve <run.json> [--check] | campaign <campaign-dir> [--require-complete] [--require-retried] [--forbid-duplicates]>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -80,30 +58,6 @@ fn main() -> ExitCode {
         Some("show") => match args.get(1) {
             Some(path) => show(Path::new(path)),
             None => usage_error("show needs a run file"),
-        },
-        Some("diff") => match (args.get(1), args.get(2)) {
-            (Some(base), Some(cand)) => run_diff(Path::new(base), Path::new(cand)),
-            _ => usage_error("diff needs a baseline and a candidate"),
-        },
-        Some("bench") => match parse_out(&args, "BENCH_2.json") {
-            Ok(out) => bench(Path::new(&out)),
-            Err(code) => code,
-        },
-        Some("bench-compute") => match parse_out(&args, "BENCH_4.json") {
-            Ok(out) => bench_compute(Path::new(&out)),
-            Err(code) => code,
-        },
-        Some("diff-compute") => match (args.get(1), args.get(2)) {
-            (Some(base), Some(cand)) => diff_compute(Path::new(base), Path::new(cand)),
-            _ => usage_error("diff-compute needs a baseline and a candidate"),
-        },
-        Some("bench-int8") => match parse_out(&args, "BENCH_6.json") {
-            Ok(out) => bench_int8(Path::new(&out)),
-            Err(code) => code,
-        },
-        Some("diff-int8") => match (args.get(1), args.get(2)) {
-            (Some(base), Some(cand)) => diff_int8(Path::new(base), Path::new(cand)),
-            _ => usage_error("diff-int8 needs a baseline and a candidate"),
         },
         Some("watch") => match args.get(1) {
             Some(addr) => match WatchOpts::parse(&args[2..]) {
@@ -145,17 +99,6 @@ fn main() -> ExitCode {
         },
         Some(other) => usage_error(&format!("unknown subcommand '{other}'")),
         None => usage_error("missing subcommand"),
-    }
-}
-
-fn parse_out(args: &[String], default: &str) -> Result<String, ExitCode> {
-    match args.get(1).map(String::as_str) {
-        Some("--out") => match args.get(2) {
-            Some(p) => Ok(p.clone()),
-            None => Err(usage_error("--out needs a path")),
-        },
-        Some(other) => Err(usage_error(&format!("unknown bench flag '{other}'"))),
-        None => Ok(default.to_string()),
     }
 }
 
@@ -279,137 +222,6 @@ fn hist_row(name: &str, count: u64, mean: f64, p50: f64, p95: f64, p99: f64, max
     format!(
         "    {name:<32} n={count:<7} mean {mean:<9.3}  p50 {p50:<9.3}  p95 {p95:<9.3}  p99 {p99:<9.3}  max {max:<9.3}\n"
     )
-}
-
-fn run_diff(base_path: &Path, cand_path: &Path) -> ExitCode {
-    let (base, cand) = match (load(base_path), load(cand_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let report = diff(&base, &cand, &DiffConfig::default());
-    print!("{report}");
-    if report.regressed() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn bench(out: &Path) -> ExitCode {
-    rhb_bench::telemetry::init();
-    let artifact = smoke_run("smoke", 41);
-    rhb_bench::telemetry::finish();
-    match artifact.save(Path::new("results/runs")) {
-        Ok(path) => eprintln!("rhb-report: artifact written to {}", path.display()),
-        Err(e) => {
-            eprintln!("rhb-report: results/runs: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Err(e) = std::fs::write(out, artifact.to_json()) {
-        eprintln!("rhb-report: {}: {e}", out.display());
-        return ExitCode::from(2);
-    }
-    eprintln!("rhb-report: bench trajectory written to {}", out.display());
-    print!("{}", render(&artifact));
-    ExitCode::SUCCESS
-}
-
-fn bench_compute(out: &Path) -> ExitCode {
-    let report = compute::run();
-    if let Err(e) = std::fs::write(out, compute::to_json(&report)) {
-        eprintln!("rhb-report: {}: {e}", out.display());
-        return ExitCode::from(2);
-    }
-    eprintln!("rhb-report: compute bench written to {}", out.display());
-    for e in &report.entries {
-        println!(
-            "{:<16} {:>2} threads {:>10.2} ms",
-            e.name, e.threads, e.wall_ms
-        );
-    }
-    println!(
-        "gemm 192^3        serial     {:>10.2} ms naive / {:.2} ms blocked ({:.2}x)",
-        report.gemm_naive_ms,
-        report.gemm_blocked_ms,
-        report.gemm_naive_ms / report.gemm_blocked_ms.max(1e-9)
-    );
-    ExitCode::SUCCESS
-}
-
-fn bench_int8(out: &Path) -> ExitCode {
-    let report = int8bench::run();
-    if let Err(e) = std::fs::write(out, int8bench::to_json(&report)) {
-        eprintln!("rhb-report: {}: {e}", out.display());
-        return ExitCode::from(2);
-    }
-    eprintln!("rhb-report: int8 bench written to {}", out.display());
-    println!(
-        "gemm 192^3        serial     {:>10.2} ms f32 / {:.2} ms i8 ({:.2}x)",
-        report.gemm_f32_ms,
-        report.gemm_i8_ms,
-        report.gemm_speedup()
-    );
-    for e in &report.entries {
-        println!(
-            "eval {:>2} threads  f32 {:>10.2} ms  int8 {:>10.2} ms ({:.2}x)",
-            e.threads,
-            e.f32_eval_ms,
-            e.int8_eval_ms,
-            e.speedup()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-fn load_int8(path: &Path) -> Result<int8bench::Int8Bench, ExitCode> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("rhb-report: {}: {e}", path.display());
-        ExitCode::from(2)
-    })?;
-    int8bench::from_json(&text).map_err(|e| {
-        eprintln!("rhb-report: {}: {e}", path.display());
-        ExitCode::from(2)
-    })
-}
-
-fn diff_int8(base_path: &Path, cand_path: &Path) -> ExitCode {
-    let (base, cand) = match (load_int8(base_path), load_int8(cand_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let d = int8bench::diff(&base, &cand);
-    print!("{}", d.report);
-    if d.regressed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn load_compute(path: &Path) -> Result<compute::ComputeBench, ExitCode> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("rhb-report: {}: {e}", path.display());
-        ExitCode::from(2)
-    })?;
-    compute::from_json(&text).map_err(|e| {
-        eprintln!("rhb-report: {}: {e}", path.display());
-        ExitCode::from(2)
-    })
-}
-
-fn diff_compute(base_path: &Path, cand_path: &Path) -> ExitCode {
-    let (base, cand) = match (load_compute(base_path), load_compute(cand_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let d = compute::diff(&base, &cand);
-    print!("{}", d.report);
-    if d.regressed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 // ---------------------------------------------------------------------------

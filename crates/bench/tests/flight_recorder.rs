@@ -1,8 +1,8 @@
 //! End-to-end flight-recorder coverage: the smoke pipeline under a
 //! [`rhb_telemetry::TraceSink`] must produce a well-formed Chrome trace
 //! and a provenance-complete artifact, the `exp_*` binaries must honour
-//! `RHB_TELEMETRY=trace`, and the `rhb-report` CLI must turn artifact
-//! diffs into exit codes.
+//! `RHB_TELEMETRY=trace`, and the `rhb-report` CLI must turn its
+//! outcomes into exit codes.
 //!
 //! Only `smoke_trace_is_wellformed_and_ledger_matches_counter` touches
 //! the process-global telemetry registry; every other test here spawns a
@@ -174,9 +174,8 @@ fn unknown_telemetry_mode_warns_on_stderr() {
     );
 }
 
-/// A hand-built artifact fixture for the CLI tests: `offline_us` is the
-/// knob the regression fixture doubles.
-fn fixture_json(offline_us: u64) -> String {
+/// A hand-built artifact fixture for the CLI tests.
+fn fixture_json() -> String {
     let mut artifact = RunArtifact {
         exp: "fixture".into(),
         created_unix: 1_754_000_000,
@@ -215,8 +214,8 @@ fn fixture_json(offline_us: u64) -> String {
         rhb_bench::artifact::PhaseTime {
             name: "pipeline/offline".into(),
             count: 1,
-            total_us: offline_us,
-            mean_us: offline_us,
+            total_us: 100_000,
+            mean_us: 100_000,
         },
         rhb_bench::artifact::PhaseTime {
             name: "pipeline/hammering".into(),
@@ -232,40 +231,19 @@ fn report_cmd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rhb-report"))
 }
 
-/// `rhb-report diff` exit codes: 0 when clean, 1 naming the regressed
-/// phase, 2 on I/O errors.
+/// `rhb-report` exit codes: 0 when `show` renders an artifact, 2 on a
+/// missing file, and 2 with the usage text on a retired subcommand.
 #[test]
-fn report_cli_diff_drives_exit_codes() {
-    let base = temp_path("diff_base.json");
-    let slow = temp_path("diff_slow.json");
-    std::fs::write(&base, fixture_json(100_000)).unwrap();
-    std::fs::write(&slow, fixture_json(200_000)).unwrap();
+fn report_cli_show_drives_exit_codes() {
+    let path = temp_path("show_fixture.json");
+    std::fs::write(&path, fixture_json()).unwrap();
 
-    let clean = report_cmd()
-        .arg("diff")
-        .arg(&base)
-        .arg(&base)
-        .output()
-        .unwrap();
-    assert_eq!(clean.status.code(), Some(0), "identical runs must pass");
-    assert!(String::from_utf8_lossy(&clean.stdout).contains("no regressions"));
-
-    let regressed = report_cmd()
-        .arg("diff")
-        .arg(&base)
-        .arg(&slow)
-        .output()
-        .unwrap();
-    assert_eq!(regressed.status.code(), Some(1), "2x phase time must fail");
-    let stdout = String::from_utf8_lossy(&regressed.stdout);
-    assert!(
-        stdout.contains("1 regression(s): pipeline/offline"),
-        "diff must name the regressed phase, got: {stdout}"
-    );
+    let show = report_cmd().arg("show").arg(&path).output().unwrap();
+    assert_eq!(show.status.code(), Some(0), "show must render the fixture");
+    assert!(String::from_utf8_lossy(&show.stdout).contains("ledger"));
 
     let missing = report_cmd()
-        .arg("diff")
-        .arg(&base)
+        .arg("show")
         .arg(temp_path("does_not_exist.json"))
         .output()
         .unwrap();
@@ -275,10 +253,17 @@ fn report_cli_diff_drives_exit_codes() {
         "missing file is an I/O error"
     );
 
-    let show = report_cmd().arg("show").arg(&base).output().unwrap();
-    assert_eq!(show.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&show.stdout).contains("ledger"));
+    let retired = report_cmd().arg("bench").output().unwrap();
+    assert_eq!(
+        retired.status.code(),
+        Some(2),
+        "bench is no longer a subcommand"
+    );
+    let stderr = String::from_utf8_lossy(&retired.stderr);
+    assert!(
+        stderr.contains("unknown subcommand 'bench'") && stderr.contains("usage: rhb-report"),
+        "a retired subcommand must print the usage, got: {stderr}"
+    );
 
-    let _ = std::fs::remove_file(&base);
-    let _ = std::fs::remove_file(&slow);
+    let _ = std::fs::remove_file(&path);
 }
