@@ -39,6 +39,15 @@ echo "== int8 parity suite (blocking) =="
 RHB_THREADS=1 cargo test --release -p rhb-nn --test int8_parity -q
 cargo test --release -p rhb-nn --test int8_parity -q
 
+echo "== CFT exactness (blocking) =="
+# CFT computes only the gradients Algorithm 1 reads. Its result must
+# stay bit-identical to computing them all: a CFT+BR run must hash to
+# the golden constant at pool sizes 1 and 4, and a backward with any
+# requires_grad subset must give the exact input gradient and the exact
+# gradients of the parameters that require them.
+cargo test --release -p rhb-core --test cft_golden
+cargo test --release -p rhb-nn --test grad_needs
+
 echo "== int8 eval floor across pool sizes (blocking) =="
 # perfbench times evaluation at one thread only. This wall-clock test
 # requires int8 eval to be no slower than f32 eval at pool sizes 1, 2

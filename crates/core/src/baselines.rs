@@ -7,7 +7,7 @@
 //! flips cluster inside a few memory pages (often a single last-layer
 //! page), which is why their online-phase `r_match` and ASR collapse.
 
-use crate::objective::Objective;
+use crate::objective::{with_grad_mask, Objective};
 use crate::trigger::Trigger;
 use rhb_models::data::Dataset;
 use rhb_nn::network::Network;
@@ -129,15 +129,21 @@ fn fine_tune(
 
     for _ in 0..config.iterations {
         if update_trigger {
-            net.zero_grad();
-            let eval = objective.evaluate(net, &batch, &labels, &trigger);
-            trigger.fgsm_step(&eval.grad_triggered_input, config.epsilon);
+            let grad_x = objective.triggered_input_grad(net, &batch, &trigger);
+            trigger.fgsm_step(&grad_x, config.epsilon);
         }
         net.zero_grad();
-        objective.evaluate(net, &batch, &labels, &trigger);
         match &mask {
-            Some(m) => opt.step_masked(net, m),
-            None => opt.step(net),
+            Some(m) => {
+                with_grad_mask(net, m, |net| {
+                    objective.evaluate(net, &batch, &labels, &trigger)
+                });
+                opt.step_masked(net, m);
+            }
+            None => {
+                objective.evaluate(net, &batch, &labels, &trigger);
+                opt.step(net);
+            }
         }
     }
     // Snap the float masters onto the deployable quantization grid once at
@@ -299,6 +305,95 @@ mod tests {
             .sum();
         assert!(changed <= 8, "TBT changed {changed} weights, budget 8");
         assert!(changed > 0, "TBT changed nothing");
+    }
+
+    /// `fine_tune` as it ran before the gradient skips: the trigger step
+    /// and every masked step compute every weight gradient.
+    fn fine_tune_full_grad(
+        net: &mut dyn Network,
+        data: &Dataset,
+        config: &BaselineConfig,
+        mut trigger: Trigger,
+        scope: Scope,
+        update_trigger: bool,
+    ) -> Trigger {
+        let objective = Objective {
+            alpha: config.alpha,
+            target_label: config.target_label,
+        };
+        let indices: Vec<usize> = (0..config.batch_size.min(data.len())).collect();
+        let (batch, labels) = data.batch(&indices);
+        let mut opt = Sgd::new(
+            net,
+            SgdConfig {
+                lr: config.eta,
+                momentum: 0.0,
+                weight_decay: 0.0,
+            },
+        );
+        net.zero_grad();
+        objective.evaluate(net, &batch, &labels, &trigger);
+        let mask = scope_mask(net, scope).expect("masked scope");
+        for _ in 0..config.iterations {
+            if update_trigger {
+                net.zero_grad();
+                let eval = objective.evaluate(net, &batch, &labels, &trigger);
+                trigger.fgsm_step(&eval.grad_triggered_input, config.epsilon);
+            }
+            net.zero_grad();
+            objective.evaluate(net, &batch, &labels, &trigger);
+            opt.step_masked(net, &mask);
+        }
+        for p in net.params_mut() {
+            let scheme = p.scheme.expect("deployed parameter");
+            p.value.map_inplace(|v| scheme.fake(v));
+        }
+        trigger
+    }
+
+    #[test]
+    fn masked_baselines_match_the_full_gradient_path_bit_for_bit() {
+        let (mut model, trigger, config) = model_and_trigger(38);
+        let config = BaselineConfig {
+            iterations: 12,
+            ..config
+        };
+        let base = WeightFile::from_network(model.net.as_ref());
+        let bits = |net: &dyn Network, t: &Trigger| {
+            let w: Vec<u32> = net
+                .params()
+                .iter()
+                .flat_map(|p| p.value.data().iter().map(|v| v.to_bits()))
+                .collect();
+            let t: Vec<u32> = t.pattern().data().iter().map(|v| v.to_bits()).collect();
+            (w, t)
+        };
+        for (scope, update_trigger) in [(Scope::LastLayer, false), (Scope::TopKLastLayer(8), true)]
+        {
+            base.load_into(model.net.as_mut()).unwrap();
+            let fast = fine_tune(
+                model.net.as_mut(),
+                &model.test_data,
+                &config,
+                trigger.clone(),
+                scope,
+                update_trigger,
+            );
+            let fast = bits(model.net.as_ref(), &fast);
+            base.load_into(model.net.as_mut()).unwrap();
+            let full = fine_tune_full_grad(
+                model.net.as_mut(),
+                &model.test_data,
+                &config,
+                trigger.clone(),
+                scope,
+                update_trigger,
+            );
+            let full = bits(model.net.as_ref(), &full);
+            assert!(fast.0 == full.0, "{scope:?}: weights differ");
+            assert!(fast.1 == full.1, "{scope:?}: triggers differ");
+            assert!(model.net.params().iter().all(|p| p.requires_grad));
+        }
     }
 
     #[test]

@@ -2,21 +2,32 @@
 //!
 //! Each iteration:
 //!
-//! 1. *(optional)* FGSM-step the trigger Δx (Step 1, Eq. 4);
-//! 2. compute the joint objective's weight gradients and run
-//!    `Group_Sort_Select` to pick at most one weight per page group
-//!    (Step 2, Eq. 5, constraints C1/C2);
+//! 1. *(optional)* FGSM-step the trigger Δx (Step 1, Eq. 4) along the
+//!    triggered-input gradient, which one triggered forward and one
+//!    input-only backward produce;
+//! 2. evaluate the joint objective. When the mask is (re)selected —
+//!    every iteration for plain CFT, at the start of each reduction
+//!    period for CFT+BR — every weight gradient is computed and
+//!    `Group_Sort_Select` picks at most one weight per page group
+//!    (Step 2, Eq. 5, constraints C1/C2); in between, only the tensors
+//!    holding masked weights compute theirs;
 //! 3. apply a masked SGD step to exactly those weights (Step 3, Eq. 6);
 //! 4. *(CFT+BR only, every `bit_reduction_period` iterations)* snap every
 //!    modified weight to a single-bit change via
 //!    `θ* ← Floor((θ+Δθ*) ⊕ θ) ⊕ θ` (Step 4), which produces the loss
-//!    spikes visible in Fig. 7.
+//!    spikes visible in Fig. 7, and checkpoint the reduced state by its
+//!    loss alone (two forwards, no backward).
+//!
+//! A CFT+BR iteration between reselections therefore costs three
+//! forwards, one input-only backward and two masked backwards, where
+//! computing every gradient would cost four forwards and four full
+//! backwards. The results are bit-identical either way.
 //!
 //! The output is the modified quantized model plus the learned trigger —
 //! everything the online phase needs.
 
 use crate::groupsel::{group_sort_select, group_sort_select_top2, GroupPlan};
-use crate::objective::Objective;
+use crate::objective::{with_grad_mask, Objective};
 use crate::trigger::Trigger;
 use rhb_models::data::Dataset;
 use rhb_nn::network::Network;
@@ -231,24 +242,30 @@ pub fn run(
     let mut best: Option<(f32, Vec<Tensor>, Trigger)> = None;
     let period = config.bit_reduction_period.max(1);
     for t in 0..config.iterations {
-        // Step 1: trigger update.
+        // Step 1: trigger update. FGSM reads only ∂F/∂x of the triggered
+        // batch, so no weight gradient is computed.
         if config.update_trigger {
-            net.zero_grad();
-            let eval = objective.evaluate(net, &batch, &labels, &trigger);
-            trigger.fgsm_step(&eval.grad_triggered_input, config.epsilon);
+            let grad_x = objective.triggered_input_grad(net, &batch, &trigger);
+            trigger.fgsm_step(&grad_x, config.epsilon);
         }
 
         // Step 2: locate vulnerable weights.
         net.zero_grad();
-        let eval = objective.evaluate(net, &batch, &labels, &trigger);
         // With bit reduction enabled the mask is held fixed within each
         // reduction period: re-selecting every iteration spreads the drift
         // over several weights of the same group, and reduction would then
         // discard all but one of them. Freezing the mask between
-        // reductions concentrates the drift on the weights that survive.
-        if !config.bit_reduction || t % period == 0 || final_mask.is_empty() {
+        // reductions concentrates the drift on the weights that survive,
+        // and step 3 then reads only their gradients.
+        let eval = if !config.bit_reduction || t % period == 0 || final_mask.is_empty() {
+            let eval = objective.evaluate(net, &batch, &labels, &trigger);
             final_mask = group_sort_select(net, &plan);
-        }
+            eval
+        } else {
+            with_grad_mask(net, &final_mask, |net| {
+                objective.evaluate(net, &batch, &labels, &trigger)
+            })
+        };
 
         // Step 3: adversarial fine-tuning on the mask only. The float
         // master weights drift freely between bit reductions; the forward
@@ -264,12 +281,11 @@ pub fn run(
             apply_bit_reduction(net, &theta, &plan, config.allowed_bits);
             bit_reduced = true;
             // Score the deployable state and checkpoint the best.
-            net.zero_grad();
-            let reduced_eval = objective.evaluate(net, &batch, &labels, &trigger);
-            let better = best.as_ref().is_none_or(|(l, _, _)| reduced_eval.loss < *l);
+            let reduced_loss = objective.loss(net, &batch, &labels, &trigger);
+            let better = best.as_ref().is_none_or(|(l, _, _)| reduced_loss < *l);
             if better {
                 let snapshot = net.params().iter().map(|p| p.value.clone()).collect();
-                best = Some((reduced_eval.loss, snapshot, trigger.clone()));
+                best = Some((reduced_loss, snapshot, trigger.clone()));
             }
         }
         rhb_telemetry::counter!("core/cft/iterations", 1);
@@ -293,10 +309,9 @@ pub fn run(
     if config.bit_reduction {
         // Final reduction, then keep whichever deployable state won.
         apply_bit_reduction(net, &theta, &plan, config.allowed_bits);
-        net.zero_grad();
-        let final_eval = objective.evaluate(net, &batch, &labels, &trigger);
+        let final_loss = objective.loss(net, &batch, &labels, &trigger);
         if let Some((loss, snapshot, best_trigger)) = best {
-            if loss < final_eval.loss {
+            if loss < final_loss {
                 let mut params = net.params_mut();
                 for (p, s) in params.iter_mut().zip(&snapshot) {
                     p.value = s.clone();
@@ -540,6 +555,24 @@ mod tests {
             .map(|p| p.iteration)
             .collect();
         assert_eq!(reduced, vec![24, 49, 74, 99, 124, 149]);
+    }
+
+    #[test]
+    fn every_parameter_requires_grad_after_run() {
+        let mut model = pretrained(Architecture::ResNet20, &ZooConfig::tiny(), 13);
+        let mask = TriggerMask::paper_default(3, model.test_data.side());
+        let config = CftConfig {
+            iterations: 6,
+            bit_reduction_period: 3,
+            ..quick_config(2)
+        };
+        run(
+            model.net.as_mut(),
+            &model.test_data,
+            &config,
+            Trigger::black_square(mask),
+        );
+        assert!(model.net.params().iter().all(|p| p.requires_grad));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! over channels), the differentiable core GradCAM approximates from
 //! activations; the focus-shift metric of Fig. 8 is identical either way.
 
+use rhb_core::objective::with_grad_mask;
 use rhb_core::trigger::{Trigger, TriggerMask};
 use rhb_nn::layer::Mode;
 use rhb_nn::network::Network;
@@ -67,8 +68,8 @@ pub fn saliency(net: &mut dyn Network, image: &Tensor) -> Heatmap {
     let class = logits.argmax() % classes;
     let mut grad = Tensor::zeros(&[1, classes]);
     grad.data_mut()[class] = 1.0;
-    net.zero_grad();
-    let gin = net.backward(&grad);
+    // Only the input gradient is read: skip every weight gradient.
+    let gin = with_grad_mask(net, &[], |net| net.backward(&grad));
     // Channel-summed absolute input gradient.
     let mut values = vec![0.0f32; side * side];
     for c in 0..dims[1] {
@@ -116,6 +117,30 @@ mod tests {
         assert!(map.values.iter().all(|&v| v >= 0.0));
         assert!(map.values.iter().any(|&v| v > 0.0));
         assert_eq!(map.values.len(), 64);
+    }
+
+    #[test]
+    fn saliency_matches_the_full_gradient_backward_bit_for_bit() {
+        let mut model = pretrained(Architecture::ResNet20, &ZooConfig::tiny(), 12);
+        let (batch, _) = model.test_data.head(1);
+        let map = saliency(model.net.as_mut(), &batch);
+        assert!(model.net.params().iter().all(|p| p.requires_grad));
+
+        // The backward the skip replaced: every weight gradient computed.
+        let logits = model.net.forward(&batch, Mode::Frozen);
+        let mut grad = Tensor::zeros(logits.shape().dims());
+        grad.data_mut()[map.class] = 1.0;
+        let gin = model.net.backward(&grad);
+        let mut values = vec![0.0f32; map.side * map.side];
+        for c in 0..3 {
+            for y in 0..map.side {
+                for x in 0..map.side {
+                    values[y * map.side + x] += gin.at(&[0, c, y, x]).abs();
+                }
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&map.values), bits(&values));
     }
 
     #[test]

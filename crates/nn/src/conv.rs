@@ -27,9 +27,9 @@ use crate::tensor::Tensor;
 /// forward is split across the pool at all.
 ///
 /// Below this the per-dispatch cost of waking worker threads exceeds
-/// the GEMM work itself — the zoo-scale models that exposed the
-/// 2-thread int8 regression in `BENCH_5` spend ~1–2 µs of arithmetic
-/// per conv call against ~10 µs of pool hand-off — so small layers run
+/// the GEMM work itself — the zoo-scale models, whose int8 eval ran
+/// slower at two threads than at one, spend ~1–2 µs of arithmetic per
+/// conv call against ~10 µs of pool hand-off — so small layers run
 /// inline on the calling thread at every thread count. Batch chunks are
 /// independent images, so this changes scheduling only: outputs are
 /// bit-identical either way (see `DESIGN.md`, "Threading model").
@@ -643,20 +643,27 @@ impl Layer for Conv2d {
         let image_len = g.in_channels * in_side * in_side;
         let wk = g.out_channels * rows;
 
+        // A parameter that does not require its gradient gets a
+        // zero-stride partial arena: its per-image stash and batch fold
+        // are skipped, the input gradient is computed all the same.
+        let need_dw = self.weight.requires_grad;
+        let need_db = self.bias.as_ref().is_some_and(|b| b.requires_grad);
+        let dw_stride = if need_dw { wk } else { 0 };
+        let db_stride = if need_db { g.out_channels } else { 0 };
+
         let wmat = self.weight.effective_into(&mut self.scratch.wmat);
         let cols_all = self.scratch.cols.slice(batch * rows * ow2);
-        let dw_all = self.scratch.dw.filled(batch * wk);
+        let dw_all = self.scratch.dw.filled(batch * dw_stride);
         let dcols_all = self.scratch.work.filled(batch * rows * ow2);
-        let dbias_all = self.scratch.dbias.zeroed(batch * g.out_channels);
-        let has_bias = self.bias.is_some();
+        let dbias_all = self.scratch.dbias.zeroed(batch * db_stride);
 
         let mut grad_input = vec![0.0f32; batch * image_len];
         let pool = rhb_par::pool();
         let ranges = rhb_par::split_range(batch, pool.threads(), 1);
         let gin_chunks = rhb_par::split_slice_mut(&mut grad_input, &ranges, image_len);
-        let dw_chunks = rhb_par::split_slice_mut(dw_all, &ranges, wk);
+        let dw_chunks = rhb_par::split_slice_mut(dw_all, &ranges, dw_stride);
         let dcols_chunks = rhb_par::split_slice_mut(dcols_all, &ranges, rows * ow2);
-        let dbias_chunks = rhb_par::split_slice_mut(dbias_all, &ranges, g.out_channels);
+        let dbias_chunks = rhb_par::split_slice_mut(dbias_all, &ranges, db_stride);
         let gout = grad_output.data();
 
         let tasks: Vec<rhb_par::Task<'_>> = ranges
@@ -670,12 +677,14 @@ impl Layer for Conv2d {
                 Box::new(move || {
                     for (i, b) in r.clone().enumerate() {
                         let gy = &gout[b * gout_len..(b + 1) * gout_len];
-                        let cols = &cols_all[b * rows * ow2..(b + 1) * rows * ow2];
                         // dW_b = dY cols^T, stashed per image and folded
                         // below in batch order.
-                        let dw = &mut dw_c[i * wk..(i + 1) * wk];
-                        gemm::gemm_nt_serial(gy, cols, dw, g.out_channels, ow2, rows);
-                        if has_bias {
+                        if need_dw {
+                            let cols = &cols_all[b * rows * ow2..(b + 1) * rows * ow2];
+                            let dw = &mut dw_c[i * wk..(i + 1) * wk];
+                            gemm::gemm_nt_serial(gy, cols, dw, g.out_channels, ow2, rows);
+                        }
+                        if need_db {
                             for oc in 0..g.out_channels {
                                 dbias_c[i * g.out_channels + oc] =
                                     gy[oc * ow2..(oc + 1) * ow2].iter().sum();
@@ -694,17 +703,19 @@ impl Layer for Conv2d {
 
         // Serial folds in batch order: bit-identical to the single-thread
         // accumulation regardless of how the batch was chunked above.
-        let dw_all = self.scratch.dw.slice(batch * wk);
-        let dw_acc = self.scratch.dw_acc.zeroed(wk);
-        for b in 0..batch {
-            for (acc, &d) in dw_acc.iter_mut().zip(&dw_all[b * wk..(b + 1) * wk]) {
-                *acc += d;
+        if need_dw {
+            let dw_all = self.scratch.dw.slice(batch * wk);
+            let dw_acc = self.scratch.dw_acc.zeroed(wk);
+            for b in 0..batch {
+                for (acc, &d) in dw_acc.iter_mut().zip(&dw_all[b * wk..(b + 1) * wk]) {
+                    *acc += d;
+                }
+            }
+            for (gw, &acc) in self.weight.grad.data_mut().iter_mut().zip(&*dw_acc) {
+                *gw += acc;
             }
         }
-        for (gw, &acc) in self.weight.grad.data_mut().iter_mut().zip(&*dw_acc) {
-            *gw += acc;
-        }
-        if let Some(bias) = &mut self.bias {
+        if let Some(bias) = self.bias.as_mut().filter(|b| b.requires_grad) {
             let dbias_all = self.scratch.dbias.slice(batch * g.out_channels);
             let bg = bias.grad.data_mut();
             for b in 0..batch {

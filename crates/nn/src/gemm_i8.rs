@@ -80,8 +80,8 @@ const MC: usize = 64;
 const NC: usize = 512;
 
 /// Below this many multiply-accumulates (`2·m·n·k`) a product runs
-/// serially even on a multi-thread pool. Chosen against BENCH_5's
-/// 2-thread regression: the deployed zoo's per-layer products all sit
+/// serially even on a multi-thread pool. Chosen against a 2-thread int8
+/// eval regression on the zoo models: their per-layer products all sit
 /// far below any credible cross-thread handoff cost, so only genuinely
 /// large products (≥ the 192³ bench scale) may fan out.
 pub const PAR_MIN_FLOPS: usize = 1 << 18;

@@ -84,10 +84,13 @@ pub enum Int8Epilogue {
 
 /// One differentiable building block.
 ///
-/// Contract: `backward` may only be called after `forward` with
-/// `Mode::Train`, and consumes the caches that forward populated. Gradients
-/// accumulate into each parameter's `grad` tensor; callers reset them with
-/// [`Layer::zero_grad`].
+/// Contract: `backward` may only be called after a forward in a mode that
+/// caches ([`Mode::Train`] or [`Mode::Frozen`], see [`Mode::caches`]), and
+/// consumes the caches that forward populated. Gradients accumulate into
+/// the `grad` tensor of each parameter whose
+/// [`requires_grad`](Parameter::requires_grad) is on; the others are
+/// skipped, and the returned input gradient is the same either way.
+/// Callers reset gradients with [`Layer::zero_grad`].
 pub trait Layer: Send {
     /// Computes the layer output, caching activations when training.
     fn forward(&mut self, input: &Tensor) -> Tensor {
@@ -97,13 +100,14 @@ pub trait Layer: Send {
     /// Computes the layer output in the given mode.
     fn forward_mode(&mut self, input: &Tensor, mode: Mode) -> Tensor;
 
-    /// Backpropagates `grad_output`, accumulating parameter gradients and
-    /// returning the gradient w.r.t. the layer input.
+    /// Backpropagates `grad_output`, accumulating the gradients of the
+    /// parameters that require them and returning the gradient w.r.t. the
+    /// layer input.
     ///
     /// # Panics
     ///
-    /// Implementations panic if called without a preceding training-mode
-    /// forward pass.
+    /// Implementations panic if called without a preceding caching
+    /// (`Train` or `Frozen`) forward pass.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
     /// Immutable views of the layer's parameters, in deterministic order.

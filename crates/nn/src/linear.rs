@@ -211,19 +211,21 @@ impl Layer for Linear {
             .expect("backward called without training-mode forward");
         let batch = input.shape().dim(0);
         // dW = dY^T X  (shape [out, in])
-        let dw = self.scratch.dw.filled(self.out_features * self.in_features);
-        gemm::gemm_tn(
-            grad_output.data(),
-            input.data(),
-            dw,
-            self.out_features,
-            batch,
-            self.in_features,
-        );
-        for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(&*dw) {
-            *g += d;
+        if self.weight.requires_grad {
+            let dw = self.scratch.dw.filled(self.out_features * self.in_features);
+            gemm::gemm_tn(
+                grad_output.data(),
+                input.data(),
+                dw,
+                self.out_features,
+                batch,
+                self.in_features,
+            );
+            for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(&*dw) {
+                *g += d;
+            }
         }
-        if let Some(bias) = &mut self.bias {
+        if let Some(bias) = self.bias.as_mut().filter(|b| b.requires_grad) {
             let n = self.out_features;
             for row in grad_output.data().chunks(n) {
                 for (g, &r) in bias.grad.data_mut().iter_mut().zip(row) {

@@ -19,8 +19,9 @@ pub trait Network: Send {
     /// Runs the network on a `[batch, ...]` input, returning logits.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
 
-    /// Backpropagates the logit gradient, accumulating parameter gradients
-    /// and returning the gradient w.r.t. the input.
+    /// Backpropagates the logit gradient, accumulating the gradients of
+    /// the parameters whose `requires_grad` is on, and returning the
+    /// gradient w.r.t. the input.
     fn backward(&mut self, grad_logits: &Tensor) -> Tensor;
 
     /// Immutable parameter views in deterministic (weight-file) order.

@@ -167,22 +167,33 @@ impl Layer for BatchNorm2d {
         let count = (batch * plane) as f32;
         let gamma = self.gamma.effective();
 
-        // Per-channel reductions of dY and dY*normalized.
+        // Per-channel reductions of dY and dY*normalized: the β and γ
+        // gradients, and with batch statistics the input-gradient
+        // correction terms. Frozen statistics need them only for a
+        // parameter that requires its gradient.
         let mut sum_dy = vec![0.0f32; chans];
         let mut sum_dy_n = vec![0.0f32; chans];
-        for b in 0..batch {
-            for c in 0..chans {
-                let base = (b * chans + c) * plane;
-                for i in 0..plane {
-                    let dy = grad_output.data()[base + i];
-                    sum_dy[c] += dy;
-                    sum_dy_n[c] += dy * cache.normalized.data()[base + i];
+        if !cache.frozen || self.gamma.requires_grad || self.beta.requires_grad {
+            for b in 0..batch {
+                for c in 0..chans {
+                    let base = (b * chans + c) * plane;
+                    for i in 0..plane {
+                        let dy = grad_output.data()[base + i];
+                        sum_dy[c] += dy;
+                        sum_dy_n[c] += dy * cache.normalized.data()[base + i];
+                    }
                 }
             }
         }
-        for c in 0..chans {
-            self.beta.grad.data_mut()[c] += sum_dy[c];
-            self.gamma.grad.data_mut()[c] += sum_dy_n[c];
+        if self.beta.requires_grad {
+            for (g, &s) in self.beta.grad.data_mut().iter_mut().zip(&sum_dy) {
+                *g += s;
+            }
+        }
+        if self.gamma.requires_grad {
+            for (g, &s) in self.gamma.grad.data_mut().iter_mut().zip(&sum_dy_n) {
+                *g += s;
+            }
         }
 
         // Input gradient. With frozen (running) statistics the mean and

@@ -22,6 +22,12 @@ pub struct Parameter {
     pub grad: Tensor,
     /// Frozen quantization scheme, present once deployed.
     pub scheme: Option<QuantScheme>,
+    /// Whether `backward` accumulates into [`grad`](Self::grad). `true`
+    /// unless a caller that reads only some gradients turns it off for
+    /// the span of its backward passes and turns it back on after; a
+    /// layer whose parameters all have it off still returns the exact
+    /// input gradient, and leaves their `grad` untouched.
+    pub requires_grad: bool,
 }
 
 impl Parameter {
@@ -33,6 +39,7 @@ impl Parameter {
             value,
             grad,
             scheme: None,
+            requires_grad: true,
         }
     }
 

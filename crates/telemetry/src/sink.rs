@@ -9,7 +9,7 @@
 //! * [`ProgressSink`] — human-readable progress on stderr, indented by
 //!   span depth (replaces the ad-hoc `eprintln!` of the `exp_*` bins);
 //! * [`JsonlSink`] — one JSON object per line to any writer, the format
-//!   `rhb-bench`'s reporter and the `BENCH_*.json` trajectories fold in.
+//!   `rhb-bench`'s reporter folds in.
 
 use crate::value::{write_json_string, Value};
 use parking_lot::Mutex;
